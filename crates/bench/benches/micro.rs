@@ -1,7 +1,9 @@
 //! Micro-benchmarks (`cargo bench -p llvm_md_bench`): the validator's
 //! moving parts at several function sizes — gating (monadic gated SSA
 //! construction), shared-graph import + hash-consing, and end-to-end
-//! validation of identity and of a pipeline-optimized function.
+//! validation of identity and of a pipeline-optimized function — plus the
+//! `serve` ingest path every request pays before any validation: parsing
+//! the function's `.ll` text and computing its structural fingerprint.
 //!
 //! The paper's efficiency claim (§4.1) is that validation work is
 //! proportional to the number of transformations, not to program size:
@@ -13,10 +15,11 @@
 //! (or `$BENCH_OUT_DIR`) for the perf trajectory.
 
 use lir::func::{Function, Module};
+use lir::parse::parse_module;
 use lir_opt::paper_pipeline;
 use llvm_md_bench::timing::{BenchReport, Config};
 use llvm_md_bench::write_artifact;
-use llvm_md_core::Validator;
+use llvm_md_core::{fingerprint, Validator};
 use llvm_md_workload::profiles;
 
 /// A generated module whose functions average roughly `size` instructions.
@@ -76,6 +79,23 @@ fn main() {
         let fo = opt.functions.iter().find(|f| f.name == fi.name).expect("same function");
         let name = format!("validate_pipeline/{}", fi.inst_count());
         report.run(&name, &cfg, || validator.validate(fi, fo));
+    }
+
+    for size in SIZES {
+        let m = sized_module(size);
+        let f = pick(&m, size);
+        // The picked function in a module of its own, globals and
+        // declarations kept so the text parses.
+        let text = Module { functions: vec![f.clone()], ..m.clone() }.to_string();
+        let name = format!("parse_module/{}", f.inst_count());
+        report.run(&name, &cfg, || parse_module(&text).expect("parses"));
+    }
+
+    for size in SIZES {
+        let m = sized_module(size);
+        let f = pick(&m, size);
+        let name = format!("fingerprint/{}", f.inst_count());
+        report.run(&name, &cfg, || fingerprint(f));
     }
 
     let path = write_artifact("micro", &report.to_json()).expect("write BENCH_micro.json");

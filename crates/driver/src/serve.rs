@@ -287,12 +287,11 @@ impl Server {
         for job in &jobs {
             let key = (fps_in[job.in_idx], fps_out[job.out_idx]);
             let name = &records[job.slot].name;
-            if let Some(line) = self
-                .store
-                .get(key)
-                .filter(|l| line_matches_engine(l, self.validator.normalizer, self.tier2.is_some()))
-            {
-                let validated = line_says_validated(&line);
+            let stored = self.store.get(key).and_then(|line| {
+                replay_validated(&line, self.validator.normalizer, self.tier2.is_some())
+                    .map(|validated| (line, validated))
+            });
+            if let Some((line, validated)) = stored {
                 slots[job.slot] = Some(SlotOutcome { line, validated, from_store: true });
             } else if key.0 == key.1 {
                 let tv = TriagedVerdict {
@@ -504,48 +503,65 @@ fn fingerprint_by_name(m: &Module, name: &str) -> u64 {
         .expect("pairing produced this record from this module")
 }
 
-/// Whether a stored verdict line was computed by the same rewrite engine a
-/// server running `normalizer` at [`RULE_ENGINE_VERSION`] would use now —
-/// at the same tier depth. A line without the engine stamp predates it and
-/// decodes as `destructive` at engine version 1; a line without the `tier2`
-/// stamp predates tier 2 and decodes as tier-1-only. Mismatches (and
-/// hypothetical corrupt lines) are treated as store misses, never replayed
-/// — in particular, a tier-2 server re-validates every stored tier-1-only
+/// Decode a stored verdict line once and decide whether it may be
+/// replayed: `Some(validated)` when the line was computed by the same
+/// rewrite engine a server running `normalizer` at [`RULE_ENGINE_VERSION`]
+/// would use now — at the same tier depth — where `validated` is whether
+/// its class says "validated". A line without the engine stamp predates it
+/// and decodes as `destructive` at engine version 1; a line without the
+/// `tier2` stamp predates tier 2 and decodes as tier-1-only. Mismatches and
+/// lines that do not parse are `None`: store misses, never replayed — in
+/// particular, a tier-2 server re-validates every stored tier-1-only
 /// verdict so its alarms get the bit-precise query.
-fn line_matches_engine(line: &str, normalizer: Normalizer, tier2: bool) -> bool {
-    let Ok(doc) = wire::parse(line) else { return false };
+fn replay_validated(line: &str, normalizer: Normalizer, tier2: bool) -> Option<bool> {
+    let doc = wire::parse(line).ok()?;
     let line_norm = match doc.get("normalizer") {
         None => Normalizer::Destructive,
-        Some(v) => match v.as_str().and_then(Normalizer::parse) {
-            Some(n) => n,
-            None => return false,
-        },
+        Some(v) => v.as_str().and_then(Normalizer::parse)?,
     };
     let line_engine = match doc.get("rule_engine") {
         None => 1,
-        Some(v) => match v.as_f64() {
-            Some(n) => n as u64,
-            None => return false,
-        },
+        Some(v) => v.as_f64()? as u64,
     };
     let line_tier2 = match doc.get("tier2") {
         None => false,
         Some(Json::Bool(b)) => *b,
-        Some(_) => return false,
+        Some(_) => return None,
     };
-    line_norm == normalizer && line_engine == RULE_ENGINE_VERSION && line_tier2 == tier2
+    if line_norm != normalizer || line_engine != RULE_ENGINE_VERSION || line_tier2 != tier2 {
+        return None;
+    }
+    let class = doc.get("class").and_then(Json::as_str);
+    Some(class.is_some_and(|c| c == VerdictClass::Validated.to_string()))
 }
 
-/// Whether a stored verdict line's class says "validated" (stored lines
-/// always parse; a hypothetical corrupt one conservatively counts as an
-/// alarm).
-fn line_says_validated(line: &str) -> bool {
-    wire::parse(line)
-        .ok()
-        .and_then(|doc| {
-            doc.get("class")
-                .and_then(Json::as_str)
-                .map(|c| c == VerdictClass::Validated.to_string())
-        })
-        .unwrap_or(false)
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn replay_decodes_stamp_and_class_in_one_pass() {
+        let line = |stamp: &str, class: &str| {
+            format!(r#"{{"schema_version":1,"type":"verdict",{stamp}"class":"{class}"}}"#)
+        };
+        let current = format!(r#""normalizer":"destructive","rule_engine":{RULE_ENGINE_VERSION},"#);
+        let (d, s) = (Normalizer::Destructive, Normalizer::Saturate);
+        assert_eq!(replay_validated(&line(&current, "validated"), d, false), Some(true));
+        assert_eq!(
+            replay_validated(&line(&current, "suspected-incomplete"), d, false),
+            Some(false)
+        );
+        // Lines from before the stamps decode as destructive, engine 1, tier 1.
+        assert_eq!(replay_validated(&line("", "validated"), d, false), Some(true));
+        // Any stamp mismatch is a miss.
+        assert_eq!(replay_validated(&line(&current, "validated"), s, false), None);
+        assert_eq!(replay_validated(&line(&current, "validated"), d, true), None);
+        let tier2 = format!(r#"{current}"tier2":true,"#);
+        assert_eq!(replay_validated(&line(&tier2, "validated"), d, true), Some(true));
+        assert_eq!(replay_validated(&line(r#""tier2":1,"#, "validated"), d, false), None);
+        assert_eq!(replay_validated(&line(r#""normalizer":"x","#, "validated"), d, false), None);
+        assert_eq!(replay_validated(&line(r#""rule_engine":"1","#, "validated"), d, false), None);
+        // A line that does not parse is never replayed.
+        assert_eq!(replay_validated("{\"class\":\"validated\"", d, false), None);
+    }
 }

@@ -3,6 +3,16 @@
 //! Accepts the syntax produced by the printer ([`crate::print`]) plus a few
 //! conveniences: named registers (`%x`), decimal float literals (`1.5`),
 //! and arbitrary whitespace/comments (`;` to end of line).
+//!
+//! The lexer is zero-copy: it scans the source as bytes and produces `Copy`
+//! tokens whose names borrow `&str` slices of the source, and the parser's
+//! register and label maps key on those slices, so the only strings the
+//! parser allocates are the names the [`Module`] owns. A `char` is decoded
+//! only at non-ASCII bytes, so identifiers, whitespace and error messages
+//! follow the Unicode rules of `char::is_alphanumeric` and
+//! `char::is_whitespace` exactly, as a `char`-by-`char` scan would. The
+//! golden tests below pin the accepted language (non-ASCII names, CRLF,
+//! tabs) and every error message byte for byte.
 
 use crate::func::{BlockId, FuncDecl, Function, Global, Module, Phi};
 use crate::inst::{BinOp, CastOp, FBinOp, FcmpPred, IcmpPred, Inst, Term};
@@ -39,63 +49,88 @@ impl std::error::Error for ParseError {}
 /// parser does not run the [verifier](crate::verify); call it separately for
 /// semantic SSA checks.
 pub fn parse_module(src: &str) -> Result<Module, ParseError> {
-    let mut m = Parser::new(src)?.module()?;
+    let mut p = Parser::new(src)?;
+    let mut m = p.module()?;
     // The printer records the module name as a `; module <name>` header
     // comment (see `crate::print`); recover it so print → parse round-trips
     // the name — repro files and campaign artifacts key on it.
-    if let Some(name) = src.lines().find_map(|l| l.trim().strip_prefix("; module ")) {
-        m.name = name.trim().to_owned();
+    if let Some(name) = p.module_name {
+        m.name = name.to_owned();
     }
     Ok(m)
 }
 
-#[derive(Clone, Debug, PartialEq)]
-enum Tok {
-    Ident(String),
-    Local(String),
-    GlobalSym(String),
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Tok<'a> {
+    Ident(&'a str),
+    Local(&'a str),
+    GlobalSym(&'a str),
     Int(i128),
     Float(u64),
     Punct(char),
     Eof,
 }
 
-struct Parser {
-    toks: Vec<(Tok, u32)>,
+struct Parser<'a> {
+    toks: Vec<(Tok<'a>, u32)>,
     pos: usize,
+    /// The name in the first `; module <name>` line comment, if any.
+    module_name: Option<&'a str>,
 }
 
-impl Parser {
-    fn new(src: &str) -> Result<Parser, ParseError> {
-        let mut toks = Vec::new();
+/// The `char` starting at byte `i` of `src` (decoded only when non-ASCII).
+fn char_at(src: &str, i: usize) -> char {
+    match src.as_bytes()[i] {
+        b if b.is_ascii() => b as char,
+        _ => src[i..].chars().next().expect("lexer stays on char boundaries"),
+    }
+}
+
+/// The end of the run of symbol characters (alphanumerics, `_`, `.`)
+/// starting at byte `i` of `src`.
+fn symbol_end(src: &str, mut i: usize) -> usize {
+    while i < src.len() {
+        let c = char_at(src, i);
+        if !(c.is_alphanumeric() || c == '_' || c == '.') {
+            break;
+        }
+        i += c.len_utf8();
+    }
+    i
+}
+
+impl<'a> Parser<'a> {
+    fn new(src: &'a str) -> Result<Parser<'a>, ParseError> {
+        let mut toks: Vec<(Tok<'a>, u32)> = Vec::new();
+        let mut module_name = None;
         let mut line = 1u32;
-        let bytes: Vec<char> = src.chars().collect();
+        let bytes = src.as_bytes();
         let mut i = 0usize;
         while i < bytes.len() {
-            let c = bytes[i];
+            let c = char_at(src, i);
             match c {
                 '\n' => {
                     line += 1;
                     i += 1;
                 }
-                c if c.is_whitespace() => i += 1,
+                c if c.is_whitespace() => i += c.len_utf8(),
                 ';' => {
-                    while i < bytes.len() && bytes[i] != '\n' {
-                        i += 1;
+                    let end =
+                        bytes[i..].iter().position(|&b| b == b'\n').map_or(src.len(), |n| i + n);
+                    // A comment alone on its line may be the module header.
+                    if module_name.is_none() && toks.last().is_none_or(|&(_, l)| l != line) {
+                        module_name =
+                            src[i..end].trim_end().strip_prefix("; module ").map(str::trim);
                     }
+                    i = end;
                 }
                 '%' | '@' => {
                     let start = i + 1;
-                    let mut j = start;
-                    while j < bytes.len()
-                        && (bytes[j].is_alphanumeric() || bytes[j] == '_' || bytes[j] == '.')
-                    {
-                        j += 1;
-                    }
+                    let j = symbol_end(src, start);
                     if j == start {
                         return Err(ParseError { line, msg: format!("empty symbol after `{c}`") });
                     }
-                    let name: String = bytes[start..j].iter().collect();
+                    let name = &src[start..j];
                     toks.push((
                         if c == '%' { Tok::Local(name) } else { Tok::GlobalSym(name) },
                         line,
@@ -103,22 +138,13 @@ impl Parser {
                     i = j;
                 }
                 '-' | '0'..='9' => {
-                    let start = i;
                     let mut j = i + (c == '-') as usize;
-                    // f0x... float literal
-                    if c == 'f' { /* unreachable in this arm */ }
                     let mut is_float = false;
-                    while j < bytes.len()
-                        && (bytes[j].is_ascii_digit()
-                            || bytes[j] == '.'
-                            || (is_hex_context(&bytes, start, j)))
-                    {
-                        if bytes[j] == '.' {
-                            is_float = true;
-                        }
+                    while j < bytes.len() && (bytes[j].is_ascii_digit() || bytes[j] == b'.') {
+                        is_float |= bytes[j] == b'.';
                         j += 1;
                     }
-                    let text: String = bytes[start..j].iter().collect();
+                    let text = &src[i..j];
                     if is_float {
                         let v: f64 = text
                             .parse()
@@ -134,14 +160,8 @@ impl Parser {
                     i = j;
                 }
                 c if c.is_alphabetic() || c == '_' => {
-                    let start = i;
-                    let mut j = i;
-                    while j < bytes.len()
-                        && (bytes[j].is_alphanumeric() || bytes[j] == '_' || bytes[j] == '.')
-                    {
-                        j += 1;
-                    }
-                    let word: String = bytes[start..j].iter().collect();
+                    let j = symbol_end(src, i);
+                    let word = &src[i..j];
                     // `f0x<hex>` float literal
                     if let Some(hex) = word.strip_prefix("f0x") {
                         let v = u64::from_str_radix(hex, 16).map_err(|_| ParseError {
@@ -164,19 +184,19 @@ impl Parser {
             }
         }
         toks.push((Tok::Eof, line));
-        Ok(Parser { toks, pos: 0 })
+        Ok(Parser { toks, pos: 0, module_name })
     }
 
-    fn peek(&self) -> &Tok {
-        &self.toks[self.pos].0
+    fn peek(&self) -> Tok<'a> {
+        self.toks[self.pos].0
     }
 
     fn line(&self) -> u32 {
         self.toks[self.pos].1
     }
 
-    fn bump(&mut self) -> Tok {
-        let t = self.toks[self.pos].0.clone();
+    fn bump(&mut self) -> Tok<'a> {
+        let t = self.toks[self.pos].0;
         if self.pos + 1 < self.toks.len() {
             self.pos += 1;
         }
@@ -198,7 +218,7 @@ impl Parser {
     }
 
     fn eat_punct(&mut self, c: char) -> bool {
-        if *self.peek() == Tok::Punct(c) {
+        if self.peek() == Tok::Punct(c) {
             self.bump();
             true
         } else {
@@ -216,7 +236,7 @@ impl Parser {
         }
     }
 
-    fn ident(&mut self) -> Result<String, ParseError> {
+    fn ident(&mut self) -> Result<&'a str, ParseError> {
         match self.bump() {
             Tok::Ident(w) => Ok(w),
             t => Err(ParseError {
@@ -226,7 +246,7 @@ impl Parser {
         }
     }
 
-    fn global_sym(&mut self) -> Result<String, ParseError> {
+    fn global_sym(&mut self) -> Result<&'a str, ParseError> {
         match self.bump() {
             Tok::GlobalSym(w) => Ok(w),
             t => Err(ParseError {
@@ -236,7 +256,7 @@ impl Parser {
         }
     }
 
-    fn local_sym(&mut self) -> Result<String, ParseError> {
+    fn local_sym(&mut self) -> Result<&'a str, ParseError> {
         match self.bump() {
             Tok::Local(w) => Ok(w),
             t => Err(ParseError {
@@ -267,7 +287,7 @@ impl Parser {
         loop {
             match self.peek() {
                 Tok::Eof => break,
-                Tok::Ident(w) if w == "declare" => {
+                Tok::Ident("declare") => {
                     self.bump();
                     let ret = self.ty()?;
                     let name = self.global_sym()?;
@@ -282,9 +302,9 @@ impl Parser {
                             self.expect_punct(',')?;
                         }
                     }
-                    m.declarations.push(FuncDecl { name, ret, params });
+                    m.declarations.push(FuncDecl { name: name.to_owned(), ret, params });
                 }
-                Tok::Ident(w) if w == "define" => {
+                Tok::Ident("define") => {
                     self.bump();
                     let f = self.function(&m)?;
                     m.functions.push(f);
@@ -293,7 +313,7 @@ impl Parser {
                     let name = self.global_sym()?;
                     self.expect_punct('=')?;
                     let kind = self.ident()?;
-                    let is_const = match kind.as_str() {
+                    let is_const = match kind {
                         "global" => false,
                         "constant" => true,
                         k => {
@@ -324,7 +344,7 @@ impl Parser {
                             n
                         ));
                     }
-                    m.globals.push(Global { name, words, is_const });
+                    m.globals.push(Global { name: name.to_owned(), words, is_const });
                 }
                 t => return self.err(format!("expected top-level item, found {t:?}")),
             }
@@ -336,14 +356,14 @@ impl Parser {
         let ret = self.ty()?;
         let name = self.global_sym()?;
         let mut f = Function::new(name, ret);
-        let mut regs: HashMap<String, Reg> = HashMap::new();
+        let mut regs: HashMap<&'a str, Reg> = HashMap::new();
         self.expect_punct('(')?;
         if !self.eat_punct(')') {
             loop {
                 let ty = self.ty()?;
                 let pname = self.local_sym()?;
                 let r = f.add_param(ty);
-                if regs.insert(pname.clone(), r).is_some() {
+                if regs.insert(pname, r).is_some() {
                     return self.err(format!("duplicate parameter `%{pname}`"));
                 }
                 if self.eat_punct(')') {
@@ -354,7 +374,7 @@ impl Parser {
         }
         self.expect_punct('{')?;
         // Pre-scan for block labels so branches can be resolved immediately.
-        let mut blocks: HashMap<String, BlockId> = HashMap::new();
+        let mut blocks: HashMap<&'a str, BlockId> = HashMap::new();
         {
             let save = self.pos;
             let mut depth = 1;
@@ -362,11 +382,11 @@ impl Parser {
                 match self.bump() {
                     Tok::Punct('{') => depth += 1,
                     Tok::Punct('}') => depth -= 1,
-                    Tok::Ident(w) if *self.peek() == Tok::Punct(':') => {
-                        if blocks.contains_key(&w) {
+                    Tok::Ident(w) if self.peek() == Tok::Punct(':') => {
+                        if blocks.contains_key(w) {
                             return self.err(format!("duplicate block label `{w}`"));
                         }
-                        let id = f.add_block(w.clone());
+                        let id = f.add_block(w);
                         blocks.insert(w, id);
                     }
                     Tok::Eof => return self.err("unterminated function body"),
@@ -385,11 +405,11 @@ impl Parser {
                 break;
             }
             // Label?
-            if let Tok::Ident(w) = self.peek().clone() {
+            if let Tok::Ident(w) = self.peek() {
                 if self.toks[self.pos + 1].0 == Tok::Punct(':') {
                     self.bump();
                     self.bump();
-                    cur = Some(blocks[&w]);
+                    cur = Some(blocks[w]);
                     continue;
                 }
             }
@@ -404,7 +424,7 @@ impl Parser {
     /// Resolve a register name, creating a fresh register on first sight
     /// (forward references are allowed; the verifier reports truly undefined
     /// registers).
-    fn reg(&mut self, f: &mut Function, regs: &mut HashMap<String, Reg>, name: String) -> Reg {
+    fn reg(&mut self, f: &mut Function, regs: &mut HashMap<&'a str, Reg>, name: &'a str) -> Reg {
         *regs.entry(name).or_insert_with(|| f.new_reg())
     }
 
@@ -412,7 +432,7 @@ impl Parser {
         &mut self,
         m: &Module,
         f: &mut Function,
-        regs: &mut HashMap<String, Reg>,
+        regs: &mut HashMap<&'a str, Reg>,
         ty: Ty,
     ) -> Result<Operand, ParseError> {
         match self.bump() {
@@ -424,11 +444,11 @@ impl Parser {
                 Ok(Operand::int(ty, v as i64))
             }
             Tok::Float(bits) => Ok(Operand::Const(Constant::Float(bits))),
-            Tok::Ident(w) if w == "true" => Ok(Operand::bool(true)),
-            Tok::Ident(w) if w == "false" => Ok(Operand::bool(false)),
-            Tok::Ident(w) if w == "null" => Ok(Operand::Const(Constant::Null)),
-            Tok::Ident(w) if w == "undef" => Ok(Operand::Const(Constant::Undef(ty))),
-            Tok::GlobalSym(name) => match m.global_by_name(&name) {
+            Tok::Ident("true") => Ok(Operand::bool(true)),
+            Tok::Ident("false") => Ok(Operand::bool(false)),
+            Tok::Ident("null") => Ok(Operand::Const(Constant::Null)),
+            Tok::Ident("undef") => Ok(Operand::Const(Constant::Undef(ty))),
+            Tok::GlobalSym(name) => match m.global_by_name(name) {
                 Some((gid, _)) => Ok(Operand::Global(gid)),
                 None => self
                     .err(format!("unknown global `@{name}` (globals must be declared before use)")),
@@ -437,10 +457,10 @@ impl Parser {
         }
     }
 
-    fn label(&mut self, blocks: &HashMap<String, BlockId>) -> Result<BlockId, ParseError> {
+    fn label(&mut self, blocks: &HashMap<&'a str, BlockId>) -> Result<BlockId, ParseError> {
         self.expect_ident("label")?;
         let name = self.local_sym()?;
-        blocks.get(&name).copied().ok_or_else(|| ParseError {
+        blocks.get(name).copied().ok_or_else(|| ParseError {
             line: self.toks[self.pos - 1].1,
             msg: format!("unknown block `%{name}`"),
         })
@@ -451,8 +471,8 @@ impl Parser {
         &mut self,
         m: &Module,
         f: &mut Function,
-        regs: &mut HashMap<String, Reg>,
-        blocks: &HashMap<String, BlockId>,
+        regs: &mut HashMap<&'a str, Reg>,
+        blocks: &HashMap<&'a str, BlockId>,
         bid: BlockId,
     ) -> Result<(), ParseError> {
         match self.bump() {
@@ -461,13 +481,13 @@ impl Parser {
                 self.expect_punct('=')?;
                 let dst = self.reg(f, regs, dst_name);
                 let op_word = self.ident()?;
-                let inst = self.rhs(m, f, regs, blocks, bid, dst, &op_word)?;
+                let inst = self.rhs(m, f, regs, blocks, bid, dst, op_word)?;
                 if let Some(inst) = inst {
                     f.block_mut(bid).insts.push(inst);
                 }
                 Ok(())
             }
-            Tok::Ident(w) => match w.as_str() {
+            Tok::Ident(w) => match w {
                 "store" => {
                     let ty = self.ty()?;
                     let val = self.operand(m, f, regs, ty)?;
@@ -483,12 +503,10 @@ impl Parser {
                     Ok(())
                 }
                 "br" => {
-                    if let Tok::Ident(w) = self.peek() {
-                        if w == "label" {
-                            let target = self.label(blocks)?;
-                            f.block_mut(bid).term = Term::Br { target };
-                            return Ok(());
-                        }
+                    if self.peek() == Tok::Ident("label") {
+                        let target = self.label(blocks)?;
+                        f.block_mut(bid).term = Term::Br { target };
+                        return Ok(());
                     }
                     self.expect_ident("i1")?;
                     let cond = self.operand(m, f, regs, Ty::I1)?;
@@ -539,7 +557,7 @@ impl Parser {
         &mut self,
         m: &Module,
         f: &mut Function,
-        regs: &mut HashMap<String, Reg>,
+        regs: &mut HashMap<&'a str, Reg>,
     ) -> Result<CallSig, ParseError> {
         let ret = self.ty()?;
         let callee = self.global_sym()?;
@@ -556,7 +574,7 @@ impl Parser {
                 self.expect_punct(',')?;
             }
         }
-        Ok((callee, ret, args))
+        Ok((callee.to_owned(), ret, args))
     }
 
     #[allow(clippy::too_many_lines, clippy::too_many_arguments)]
@@ -564,8 +582,8 @@ impl Parser {
         &mut self,
         m: &Module,
         f: &mut Function,
-        regs: &mut HashMap<String, Reg>,
-        blocks: &HashMap<String, BlockId>,
+        regs: &mut HashMap<&'a str, Reg>,
+        blocks: &HashMap<&'a str, BlockId>,
         bid: BlockId,
         dst: Reg,
         word: &str,
@@ -670,7 +688,7 @@ impl Parser {
                     let v = self.operand(m, f, regs, ty)?;
                     self.expect_punct(',')?;
                     let bname = self.local_sym()?;
-                    let pred = blocks.get(&bname).copied().ok_or_else(|| ParseError {
+                    let pred = blocks.get(bname).copied().ok_or_else(|| ParseError {
                         line: self.line(),
                         msg: format!("unknown block `%{bname}` in phi"),
                     })?;
@@ -686,13 +704,6 @@ impl Parser {
             other => self.err(format!("unknown opcode `{other}`")),
         }
     }
-}
-
-/// `true` while scanning the digits of a decimal literal; hex digits only
-/// appear in `f0x…` floats which are lexed as identifiers, so this is always
-/// false — kept as a named helper for clarity at the call site.
-fn is_hex_context(_bytes: &[char], _start: usize, _j: usize) -> bool {
-    false
 }
 
 #[cfg(test)]
@@ -861,5 +872,93 @@ entry:
         let src =
             "; leading comment\ndefine void @w() { ; trailing\nentry:\n  ret void ; done\n}\n";
         assert!(parse_module(src).is_ok());
+    }
+    /// The exact `ParseError` for one malformed input per error branch:
+    /// `(source, line, message)`. Messages embedding a token use its
+    /// `Debug` form, so these also pin the token rendering.
+    const GOLDEN_ERRORS: &[(&str, u32, &str)] = &[
+        ("define void @() {\nentry:\n  ret void\n}\n", 1, "empty symbol after `@`"),
+        (
+            "define f64 @e() {\nentry:\n  %x = fadd f64 1.2.3, 1.0\n  ret f64 %x\n}\n",
+            3,
+            "bad float `1.2.3`",
+        ),
+        ("define i64 @e() {\nentry:\n  ret i64 -\n}\n", 3, "bad integer `-`"),
+        (
+            "define i64 @e() {\nentry:\n  ret i64 999999999999999999999999999999999999999999\n}\n",
+            3,
+            "bad integer `999999999999999999999999999999999999999999`",
+        ),
+        ("define f64 @e() {\nentry:\n  ret f64 f0xzz\n}\n", 3, "bad float literal `f0xzz`"),
+        ("define void @e() {\nentry:\n  ret void # done\n}\n", 3, "unexpected character `#`"),
+        ("define void @e() {\nentry:\n\n  ret void → done\n}\n", 4, "unexpected character `→`"),
+        ("define void @e() {\nentry:\n  br label %nope\n}\n", 3, "unknown block `%nope`"),
+        (
+            "define i64 @e(i64 %a) {\nentry:\n  br label %j\nj:\n  %x = phi i64 [ %a, %nope ]\n  ret i64 %x\n}\n",
+            5,
+            "unknown block `%nope` in phi",
+        ),
+        ("define void @e() {\na:\n  ret void\na:\n  ret void\n}\n", 4, "duplicate block label `a`"),
+        ("define void @e(i64 %p, i64 %p) {\nentry:\n  ret void\n}\n", 1, "duplicate parameter `%p`"),
+        (
+            "define void @e() {\nentry:\n  store i64 1, ptr @nope\n  ret void\n}\n",
+            4,
+            "unknown global `@nope` (globals must be declared before use)",
+        ),
+        ("define void @e() {\nentry:\n  ret void\n\n", 5, "unterminated function body"),
+        (
+            "define void @e() {\n  ret void\nentry:\n  ret void\n}\n",
+            2,
+            "instruction before first block label",
+        ),
+        ("define void @e {\n", 1, "expected `(`, found Punct('{')"),
+        ("nonsense\n", 1, "expected top-level item, found Ident(\"nonsense\")"),
+        ("define bogus @e() {\n", 1, "unknown type `bogus`"),
+        ("define void %e() {\n", 1, "expected `@symbol`, found Local(\"e\")"),
+        ("@g = global [2 x i64] [1]\n", 2, "global `g`: 1 initializers for [2 x i64]"),
+        (
+            "define void @e() {\nentry:\n  %x = add f64 1, 2\n  ret void\n}\n",
+            3,
+            "integer literal for non-integer type f64",
+        ),
+        (
+            "define void @e() {\nentry:\n  %x = add i64 @, 2\n  ret void\n}\n",
+            3,
+            "empty symbol after `@`",
+        ),
+        ("define void @e() {\nentry:\n  ret i64 f0x1 2\n}\n", 4, "expected statement, found Int(2)"),
+    ];
+
+    #[test]
+    fn parse_errors_are_byte_for_byte_stable() {
+        for &(src, line, msg) in GOLDEN_ERRORS {
+            let err = parse_module(src).unwrap_err();
+            assert_eq!(err, ParseError { line, msg: msg.to_owned() }, "input {src:?}");
+        }
+    }
+
+    #[test]
+    fn accepts_non_ascii_identifiers() {
+        let src = "define i64 @größe(i64 %ä) {\nëntry:\n  br label %schleife\nschleife:\n  %π2 = add i64 %ä, 1\n  ret i64 %π2\n}\n";
+        let m = parse_module(src).unwrap();
+        let f = &m.functions[0];
+        assert_eq!(f.name, "größe");
+        assert_eq!(f.blocks[0].name, "ëntry");
+        assert_eq!(f.blocks[1].insts.len(), 1);
+        assert_eq!(parse_module(&m.to_string()).unwrap().functions[0], *f);
+    }
+
+    #[test]
+    fn crlf_and_tabs_parse_like_lf_and_spaces() {
+        let src = "; module crlf\n@tab = constant [2 x i64] [10, 20]\ndefine i64 @g(i1 %c, i64 %a) {\nentry:\n  br i1 %c, label %left, label %join\nleft:\n  %d = mul i64 %a, 2\n  br label %join\njoin:\n  %x = phi i64 [ %a, %entry ], [ %d, %left ]\n  ret i64 %x\n}\n";
+        let m = parse_module(src).unwrap();
+        assert_eq!(m.name, "crlf");
+        let crlf = src.replace('\n', "\r\n");
+        assert_eq!(parse_module(&crlf).unwrap(), m);
+        let tabs = src.replace("  ", "\t").replace(' ', "\t \t");
+        assert_eq!(parse_module(&tabs).unwrap(), Module { name: "parsed".into(), ..m.clone() });
+        let err =
+            parse_module("define void @e() {\r\n\tentry:\r\n\tret void # x\r\n}\r\n").unwrap_err();
+        assert_eq!(err, ParseError { line: 3, msg: "unexpected character `#`".into() });
     }
 }

@@ -2,7 +2,10 @@
 //!
 //! [`Module`] implements `Display`; the output round-trips through
 //! [`crate::parse::parse_module`]. Functions need module context to print
-//! global names, so use [`print_function`] for a single function.
+//! global names, so use [`print_function`] for a single function; without
+//! one (`Display for Function`), globals print as `@global.N`. Every piece
+//! is written straight into the destination writer, so streaming a
+//! rendering into a hasher allocates nothing.
 
 use crate::func::{Block, BlockId, Function, Module};
 use crate::inst::{Inst, Term};
@@ -10,23 +13,31 @@ use crate::types::Ty;
 use crate::value::Operand;
 use std::fmt::{self, Write};
 
-/// Render one operand, looking global names up in `m`.
-fn op_str(m: &Module, op: Operand) -> String {
-    match op {
-        Operand::Reg(r) => r.to_string(),
-        Operand::Const(c) => c.to_string(),
-        Operand::Global(g) => format!("@{}", m.globals[g.index()].name),
+/// An operand rendered in place: global names come from the module, or are
+/// `global.N` when there is none.
+struct Op<'a>(Option<&'a Module>, Operand);
+
+impl fmt::Display for Op<'_> {
+    fn fmt(&self, w: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.1 {
+            Operand::Reg(r) => fmt::Display::fmt(&r, w),
+            Operand::Const(c) => fmt::Display::fmt(&c, w),
+            Operand::Global(g) => match self.0 {
+                Some(m) => write!(w, "@{}", m.globals[g.index()].name),
+                None => write!(w, "@global.{}", g.index()),
+            },
+        }
     }
 }
 
 /// Render a function to assembly text using `m` for global names.
 pub fn print_function(m: &Module, f: &Function) -> String {
     let mut s = String::new();
-    write_function(&mut s, m, f).expect("writing to String cannot fail");
+    write_function(&mut s, Some(m), f).expect("writing to String cannot fail");
     s
 }
 
-fn write_function(w: &mut impl Write, m: &Module, f: &Function) -> fmt::Result {
+fn write_function(w: &mut impl Write, m: Option<&Module>, f: &Function) -> fmt::Result {
     write!(w, "define {} @{}(", f.ret, f.name)?;
     for (i, &(r, ty)) in f.params.iter().enumerate() {
         if i > 0 {
@@ -35,8 +46,8 @@ fn write_function(w: &mut impl Write, m: &Module, f: &Function) -> fmt::Result {
         write!(w, "{ty} {r}")?;
     }
     w.write_str(") {\n")?;
-    for (id, b) in f.iter_blocks() {
-        write_block(w, m, f, id, b)?;
+    for b in &f.blocks {
+        write_block(w, m, f, b)?;
     }
     w.write_str("}\n")
 }
@@ -45,21 +56,16 @@ fn block_label(f: &Function, id: BlockId) -> &str {
     &f.block(id).name
 }
 
-fn write_block(
-    w: &mut impl Write,
-    m: &Module,
-    f: &Function,
-    _id: BlockId,
-    b: &Block,
-) -> fmt::Result {
-    writeln!(w, "{}:", b.name)?;
+fn write_block(w: &mut impl Write, m: Option<&Module>, f: &Function, b: &Block) -> fmt::Result {
+    w.write_str(&b.name)?;
+    w.write_str(":\n")?;
     for phi in &b.phis {
         write!(w, "  {} = phi {} ", phi.dst, phi.ty)?;
-        for (i, (pred, v)) in phi.incomings.iter().enumerate() {
+        for (i, &(pred, v)) in phi.incomings.iter().enumerate() {
             if i > 0 {
                 w.write_str(", ")?;
             }
-            write!(w, "[ {}, %{} ]", op_str(m, *v), block_label(f, *pred))?;
+            write!(w, "[ {}, %{} ]", Op(m, v), block_label(f, pred))?;
         }
         w.write_str("\n")?;
     }
@@ -73,39 +79,32 @@ fn write_block(
     w.write_str("\n")
 }
 
-fn write_inst(w: &mut impl Write, m: &Module, inst: &Inst) -> fmt::Result {
+fn write_inst(w: &mut impl Write, m: Option<&Module>, inst: &Inst) -> fmt::Result {
+    let op = |o: &Operand| Op(m, *o);
     match inst {
-        Inst::Bin { dst, op, ty, a, b } => {
-            write!(w, "{dst} = {} {ty} {}, {}", op.mnemonic(), op_str(m, *a), op_str(m, *b))
+        Inst::Bin { dst, op: bin, ty, a, b } => {
+            write!(w, "{dst} = {} {ty} {}, {}", bin.mnemonic(), op(a), op(b))
         }
-        Inst::FBin { dst, op, a, b } => {
-            write!(w, "{dst} = {} f64 {}, {}", op.mnemonic(), op_str(m, *a), op_str(m, *b))
+        Inst::FBin { dst, op: bin, a, b } => {
+            write!(w, "{dst} = {} f64 {}, {}", bin.mnemonic(), op(a), op(b))
         }
         Inst::Icmp { dst, pred, ty, a, b } => {
-            write!(w, "{dst} = icmp {} {ty} {}, {}", pred.mnemonic(), op_str(m, *a), op_str(m, *b))
+            write!(w, "{dst} = icmp {} {ty} {}, {}", pred.mnemonic(), op(a), op(b))
         }
         Inst::Fcmp { dst, pred, a, b } => {
-            write!(w, "{dst} = fcmp {} f64 {}, {}", pred.mnemonic(), op_str(m, *a), op_str(m, *b))
+            write!(w, "{dst} = fcmp {} f64 {}, {}", pred.mnemonic(), op(a), op(b))
         }
         Inst::Select { dst, ty, c, t, f } => {
-            write!(
-                w,
-                "{dst} = select i1 {}, {ty} {}, {ty} {}",
-                op_str(m, *c),
-                op_str(m, *t),
-                op_str(m, *f)
-            )
+            write!(w, "{dst} = select i1 {}, {ty} {}, {ty} {}", op(c), op(t), op(f))
         }
-        Inst::Cast { dst, op, from, to, v } => {
-            write!(w, "{dst} = {} {from} {} to {to}", op.mnemonic(), op_str(m, *v))
+        Inst::Cast { dst, op: cast, from, to, v } => {
+            write!(w, "{dst} = {} {from} {} to {to}", cast.mnemonic(), op(v))
         }
         Inst::Alloca { dst, size, align } => write!(w, "{dst} = alloca {size}, align {align}"),
-        Inst::Load { dst, ty, ptr } => write!(w, "{dst} = load {ty}, ptr {}", op_str(m, *ptr)),
-        Inst::Store { ty, val, ptr } => {
-            write!(w, "store {ty} {}, ptr {}", op_str(m, *val), op_str(m, *ptr))
-        }
+        Inst::Load { dst, ty, ptr } => write!(w, "{dst} = load {ty}, ptr {}", op(ptr)),
+        Inst::Store { ty, val, ptr } => write!(w, "store {ty} {}, ptr {}", op(val), op(ptr)),
         Inst::Gep { dst, base, offset } => {
-            write!(w, "{dst} = gep ptr {}, i64 {}", op_str(m, *base), op_str(m, *offset))
+            write!(w, "{dst} = gep ptr {}, i64 {}", op(base), op(offset))
         }
         Inst::Call { dst, ret, callee, args } => {
             if let Some(d) = dst {
@@ -117,27 +116,27 @@ fn write_inst(w: &mut impl Write, m: &Module, inst: &Inst) -> fmt::Result {
                 if i > 0 {
                     w.write_str(", ")?;
                 }
-                write!(w, "{ty} {}", op_str(m, *a))?;
+                write!(w, "{ty} {}", op(a))?;
             }
             w.write_str(")")
         }
     }
 }
 
-fn write_term(w: &mut impl Write, m: &Module, f: &Function, t: &Term) -> fmt::Result {
+fn write_term(w: &mut impl Write, m: Option<&Module>, f: &Function, t: &Term) -> fmt::Result {
     match t {
         Term::Ret { ty: Ty::Void, .. } | Term::Ret { val: None, .. } => w.write_str("ret void"),
-        Term::Ret { ty, val: Some(v) } => write!(w, "ret {ty} {}", op_str(m, *v)),
+        Term::Ret { ty, val: Some(v) } => write!(w, "ret {ty} {}", Op(m, *v)),
         Term::Br { target } => write!(w, "br label %{}", block_label(f, *target)),
         Term::CondBr { cond, t, f: fb } => write!(
             w,
             "br i1 {}, label %{}, label %{}",
-            op_str(m, *cond),
+            Op(m, *cond),
             block_label(f, *t),
             block_label(f, *fb)
         ),
         Term::Switch { ty, val, default, cases } => {
-            write!(w, "switch {ty} {}, label %{} [", op_str(m, *val), block_label(f, *default))?;
+            write!(w, "switch {ty} {}, label %{} [", Op(m, *val), block_label(f, *default))?;
             for (k, b) in cases {
                 write!(w, " {k}, label %{}", block_label(f, *b))?;
             }
@@ -175,51 +174,17 @@ impl fmt::Display for Module {
         }
         for f in &self.functions {
             w.write_str("\n")?;
-            write_function(w, self, f)?;
+            write_function(w, Some(self), f)?;
         }
         Ok(())
     }
 }
 
 impl fmt::Display for Function {
-    /// Debug-oriented rendering with a dummy module context. Global operands
-    /// print as `@global.N`; use [`print_function`] for parseable output.
+    /// Debug-oriented rendering without a module: global operands print as
+    /// `@global.N`; use [`print_function`] for parseable output.
     fn fmt(&self, w: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut m = Module::new("");
-        // Provide placeholder globals so ids resolve.
-        let mut max_gid = 0usize;
-        self.map_operands_shim(&mut |op| {
-            if let Operand::Global(g) = op {
-                max_gid = max_gid.max(g.index() + 1);
-            }
-        });
-        for i in 0..max_gid {
-            m.globals.push(crate::func::Global {
-                name: format!("global.{i}"),
-                words: vec![],
-                is_const: false,
-            });
-        }
-        let mut s = String::new();
-        write_function(&mut s, &m, self).expect("writing to String cannot fail");
-        w.write_str(&s)
-    }
-}
-
-impl Function {
-    /// Visit all operands immutably (printer helper).
-    fn map_operands_shim(&self, f: &mut impl FnMut(Operand)) {
-        for b in &self.blocks {
-            for phi in &b.phis {
-                for &(_, v) in &phi.incomings {
-                    f(v);
-                }
-            }
-            for inst in &b.insts {
-                inst.visit_operands(&mut *f);
-            }
-            b.term.visit_operands(&mut *f);
-        }
+        write_function(w, None, self)
     }
 }
 
@@ -340,7 +305,36 @@ mod tests {
         let text = m.to_string();
         assert!(text.contains("switch i32 %0, label %d [ 1, label %one -4, label %d ]"));
         assert_eq!(Operand::Const(Constant::bool(true)), Operand::bool(true));
-        assert_eq!(op_str(&m, Operand::bool(true)), "true");
-        assert_eq!(op_str(&m, Operand::Reg(Reg(3))), "%3");
+    }
+
+    #[test]
+    fn prints_operands_in_place() {
+        let mut m = Module::new("");
+        m.globals.push(Global { name: "tab".into(), words: vec![0], is_const: true });
+        let mut f = Function::new("o", Ty::Void);
+        let e = f.add_block("entry");
+        let c = f.new_reg();
+        f.block_mut(e).insts.push(Inst::Select {
+            dst: c,
+            ty: Ty::Ptr,
+            c: Operand::bool(true),
+            t: Operand::Global(crate::func::GlobalId(0)),
+            f: Operand::Const(Constant::Null),
+        });
+        f.block_mut(e).insts.push(Inst::Store {
+            ty: Ty::I64,
+            val: Operand::Reg(Reg(3)),
+            ptr: Operand::Reg(c),
+        });
+        f.block_mut(e).term = Term::Ret { ty: Ty::Void, val: None };
+        let text = |g: &str| {
+            format!(
+                "define void @o() {{\nentry:\n  %0 = select i1 true, ptr {g}, ptr null\n  \
+                 store i64 %3, ptr %0\n  ret void\n}}\n"
+            )
+        };
+        assert_eq!(print_function(&m, &f), text("@tab"));
+        // Without a module, globals print by index.
+        assert_eq!(f.to_string(), text("@global.0"));
     }
 }

@@ -49,3 +49,42 @@ fn generated_corpus_fingerprint_is_pinned() {
          if intended, update the pin and regenerate BENCH_*.json"
     );
 }
+
+/// Structural fingerprints are pinned: persisted verdict stores and chain
+/// caches key on them, so a drift in `Function` `Display` (`@global.N`
+/// operands), in `Function::canonicalized` or in the parser/printer round
+/// trip would silently make every stored verdict re-validate. The pin
+/// covers one Table-1 suite and four campaign modules from each fuzz
+/// profile, both as generated and after `paper_pipeline()`, and each
+/// module once more after a print → parse round trip.
+#[test]
+fn structural_fingerprints_are_pinned() {
+    use llvm_md::core::module_fingerprints;
+    use llvm_md::lir::parse::parse_module;
+    use llvm_md::opt::paper_pipeline;
+    use llvm_md::workload::{campaign_module, fuzz_profiles, suite_batch, DEFAULT_CAMPAIGN_SEED};
+
+    let mut modules = suite_batch(8);
+    for p in fuzz_profiles() {
+        modules.extend((0..4).map(|i| campaign_module(&p, DEFAULT_CAMPAIGN_SEED, i)));
+    }
+    let pm = paper_pipeline();
+    let mut bytes = Vec::new();
+    for m in modules {
+        let mut opt = m.clone();
+        pm.run_module(&mut opt);
+        for version in [m, opt] {
+            let reparsed = parse_module(&version.to_string()).expect("printed module parses");
+            let fps = module_fingerprints(&version);
+            assert_eq!(fps, module_fingerprints(&reparsed), "round trip moved a fingerprint");
+            bytes.extend(fps.iter().flat_map(|fp| fp.to_le_bytes()));
+        }
+    }
+    let got = fnv1a(&bytes);
+    let pinned: u64 = 0x6fc7_440a_a6b0_eade;
+    assert_eq!(
+        got, pinned,
+        "structural fingerprints drifted (combined {got:#018x}, pinned {pinned:#018x}); \
+         every persisted verdict store would re-validate"
+    );
+}
