@@ -34,6 +34,11 @@ fi
 echo "==> cargo test"
 cargo test -q --workspace --offline
 
+echo "==> perfbench unit tests"
+# The benchmark is a package of its own, outside the workspace, so the
+# workspace test run above does not reach its tests.
+cargo test --offline -q --manifest-path perfbench/Cargo.toml
+
 if [[ $fast -eq 0 ]]; then
   echo "==> examples smoke test"
   for e in quickstart certify_pipeline catch_miscompilation rule_ablation triage_alarm chain_blame fuzz_and_reduce; do

@@ -4,6 +4,9 @@
 //! validation of identity and of a pipeline-optimized function — plus the
 //! `serve` ingest path every request pays before any validation: parsing
 //! the function's `.ll` text and computing its structural fingerprint.
+//! `validate_loops` validates pipeline-optimized loop-bearing functions of
+//! the loop-heavy `lbm` profile, where cycle matching and the rebuilds it
+//! triggers do much of the work.
 //!
 //! The paper's efficiency claim (§4.1) is that validation work is
 //! proportional to the number of transformations, not to program size:
@@ -20,11 +23,16 @@ use lir_opt::paper_pipeline;
 use llvm_md_bench::timing::{BenchReport, Config};
 use llvm_md_bench::write_artifact;
 use llvm_md_core::{fingerprint, Validator};
-use llvm_md_workload::profiles;
+use llvm_md_workload::{profile, profiles, Profile};
 
 /// A generated module whose functions average roughly `size` instructions.
 fn sized_module(size: usize) -> Module {
-    let mut p = profiles()[0];
+    sized_module_of(profiles()[0], size)
+}
+
+/// A module of profile `p` whose functions average roughly `size`
+/// instructions.
+fn sized_module_of(mut p: Profile, size: usize) -> Module {
     p.functions = 40;
     p.tail_prob = 0.0;
     p.avg_segment = (size / 12).max(2);
@@ -34,7 +42,17 @@ fn sized_module(size: usize) -> Module {
 
 /// The function closest to `size` instructions in `m`.
 fn pick(m: &Module, size: usize) -> &Function {
-    m.functions.iter().min_by_key(|f| f.inst_count().abs_diff(size)).expect("non-empty module")
+    pick_among(m.functions.iter(), size)
+}
+
+/// The function closest to `size` instructions among `fs`.
+fn pick_among<'a>(fs: impl Iterator<Item = &'a Function>, size: usize) -> &'a Function {
+    fs.min_by_key(|f| f.inst_count().abs_diff(size)).expect("a candidate function")
+}
+
+/// Whether `f` has a loop, i.e. its gated graph holds a μ-node.
+fn has_loop(f: &Function) -> bool {
+    gated_ssa::build(f).is_ok_and(|gf| gf.graph.iter().any(|(_, n)| n.is_mu()))
 }
 
 const SIZES: [usize; 3] = [16, 64, 256];
@@ -78,6 +96,17 @@ fn main() {
         let fi = pick(&m, size);
         let fo = opt.functions.iter().find(|f| f.name == fi.name).expect("same function");
         let name = format!("validate_pipeline/{}", fi.inst_count());
+        report.run(&name, &cfg, || validator.validate(fi, fo));
+    }
+
+    let lbm = profile("lbm").expect("known profile");
+    for size in SIZES {
+        let m = sized_module_of(lbm, size);
+        let mut opt = m.clone();
+        paper_pipeline().run_module(&mut opt);
+        let fi = pick_among(m.functions.iter().filter(|f| has_loop(f)), size);
+        let fo = opt.functions.iter().find(|f| f.name == fi.name).expect("same function");
+        let name = format!("validate_loops/{}", fi.inst_count());
         report.run(&name, &cfg, || validator.validate(fi, fo));
     }
 

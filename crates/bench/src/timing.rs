@@ -137,7 +137,12 @@ mod tests {
 
     #[test]
     fn measures_something_positive() {
-        let m = bench("spin", &fast_cfg(), || (0..100u64).fold(0u64, |a, x| a.wrapping_add(x * x)));
+        // The input goes through `black_box`, so the sum cannot be folded
+        // to a constant, which times at a genuine 0 ns in release builds.
+        let input: Vec<u64> = (0..100).collect();
+        let m = bench("spin", &fast_cfg(), || {
+            black_box(&input).iter().fold(0u64, |a, &x| a.wrapping_add(x * x))
+        });
         assert!(m.median > Duration::ZERO);
         assert!(m.min <= m.median);
         assert_eq!(m.samples, 5);

@@ -103,6 +103,7 @@ fn live_mus(g: &SharedGraph, roots: &[NodeId]) -> Vec<NodeId> {
 /// Try to unify every (same-depth) pair of live μ-nodes. Returns unions made.
 pub fn unify_all(g: &mut SharedGraph, roots: &[NodeId]) -> usize {
     let mut total = 0;
+    let mut kids: Vec<NodeId> = Vec::new();
     loop {
         let mus = live_mus(g, roots);
         let mut merged_this_round = 0;
@@ -121,7 +122,7 @@ pub fn unify_all(g: &mut SharedGraph, roots: &[NodeId]) -> usize {
                     continue;
                 }
                 let mut assumed: Vec<(NodeId, NodeId)> = Vec::new();
-                if unify(g, a, b, &mut assumed, &mut 0) {
+                if unify(g, a, b, &mut assumed, &mut 0, &mut kids) {
                     for (x, y) in assumed {
                         if g.union(x, y) {
                             merged_this_round += 1;
@@ -140,12 +141,15 @@ pub fn unify_all(g: &mut SharedGraph, roots: &[NodeId]) -> usize {
 }
 
 /// Coinductive structural unification of `a` and `b` under `assumed` pairs.
+/// `kids` is scratch stack space for the children of non-μ node pairs,
+/// shared by the whole recursion so no attempt allocates.
 fn unify(
     g: &SharedGraph,
     a: NodeId,
     b: NodeId,
     assumed: &mut Vec<(NodeId, NodeId)>,
     steps: &mut u32,
+    kids: &mut Vec<NodeId>,
 ) -> bool {
     let (a, b) = (g.find(a), g.find(b));
     if a == b {
@@ -170,7 +174,8 @@ fn unify(
                 return false;
             }
             assumed.push((a, b));
-            let ok = unify(g, *ia, *ib, assumed, steps) && unify(g, *xa, *xb, assumed, steps);
+            let ok = unify(g, *ia, *ib, assumed, steps, kids)
+                && unify(g, *xa, *xb, assumed, steps, kids);
             if !ok {
                 // Roll back this speculation and everything it added.
                 let pos = assumed.iter().position(|&(x, y)| x == a && y == b).unwrap();
@@ -185,11 +190,13 @@ fn unify(
             if opa == opb && tya == tyb && opa.is_commutative() =>
         {
             let before = assumed.len();
-            if unify(g, *a1, *b1, assumed, steps) && unify(g, *a2, *b2, assumed, steps) {
+            if unify(g, *a1, *b1, assumed, steps, kids) && unify(g, *a2, *b2, assumed, steps, kids)
+            {
                 return true;
             }
             assumed.truncate(before);
-            let ok = unify(g, *a1, *b2, assumed, steps) && unify(g, *a2, *b1, assumed, steps);
+            let ok = unify(g, *a1, *b2, assumed, steps, kids)
+                && unify(g, *a2, *b1, assumed, steps, kids);
             if !ok {
                 assumed.truncate(before);
             }
@@ -197,13 +204,16 @@ fn unify(
         }
         (Node::Icmp(pa, tya, a1, a2), Node::Icmp(pb, tyb, b1, b2)) if tya == tyb => {
             let before = assumed.len();
-            if pa == pb && unify(g, *a1, *b1, assumed, steps) && unify(g, *a2, *b2, assumed, steps)
+            if pa == pb
+                && unify(g, *a1, *b1, assumed, steps, kids)
+                && unify(g, *a2, *b2, assumed, steps, kids)
             {
                 return true;
             }
             assumed.truncate(before);
             if *pa == pb.swapped() {
-                let ok = unify(g, *a1, *b2, assumed, steps) && unify(g, *a2, *b1, assumed, steps);
+                let ok = unify(g, *a1, *b2, assumed, steps, kids)
+                    && unify(g, *a2, *b1, assumed, steps, kids);
                 if ok {
                     return true;
                 }
@@ -212,27 +222,30 @@ fn unify(
             false
         }
         _ => {
-            // Same operator with all parameters equal?
-            let mut ka = na.clone();
-            let mut kb = nb.clone();
-            ka.map_children(|_| NodeId(0));
-            kb.map_children(|_| NodeId(0));
-            if ka != kb {
-                return false;
-            }
-            let ca = na.children();
-            let cb = nb.children();
-            if ca.len() != cb.len() {
-                return false;
-            }
+            // Same operator with all parameters equal? Blank both nodes'
+            // children for the comparison, parking them on the shared
+            // `kids` stack, then unify them pairwise.
+            let (mut na, mut nb) = (na, nb);
+            let base = kids.len();
+            na.map_children(|c| {
+                kids.push(c);
+                NodeId(0)
+            });
+            let arity = kids.len() - base;
+            nb.map_children(|c| {
+                kids.push(c);
+                NodeId(0)
+            });
+            // Equal blanked nodes have equally many children.
             let before = assumed.len();
-            for (x, y) in ca.iter().zip(cb.iter()) {
-                if !unify(g, *x, *y, assumed, steps) {
-                    assumed.truncate(before);
-                    return false;
-                }
+            let ok = na == nb
+                && (base..base + arity)
+                    .all(|k| unify(g, kids[k], kids[k + arity], assumed, steps, kids));
+            if !ok {
+                assumed.truncate(before);
             }
-            true
+            kids.truncate(base);
+            ok
         }
     }
 }

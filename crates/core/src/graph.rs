@@ -8,110 +8,162 @@
 //! best case.
 //!
 //! Rewrites record equalities in the union-find; [`SharedGraph::rebuild`]
-//! then restores maximal sharing by re-interning every node with canonical
-//! children until a fixpoint (congruence closure, the "maximize sharing"
-//! step of §4). μ-nodes keep their nominal identity through rebuilds, but
-//! two μs whose `(depth, init, next)` become identical are merged — this is
-//! how the cycle matcher's speculative unions become permanent structural
-//! equalities.
+//! then restores maximal sharing: representatives whose canonical structure
+//! became identical merge, until a fixpoint (congruence closure, the
+//! "maximize sharing" step of §4). μ-nodes keep their nominal identity
+//! through rebuilds, but two μs whose `(depth, init, next)` become identical
+//! are merged — this is how the cycle matcher's speculative unions become
+//! permanent structural equalities.
+//!
+//! # Incremental rebuild
+//!
+//! A rebuild touches only what changed since the last one, in the style of
+//! egg's deferred rebuilding (Willsey et al., POPL 2021). Each class root
+//! keeps a *use list*: the nodes with a child in that class. Every mutation
+//! records the nodes whose table entry may have gone stale in a *pending*
+//! worklist — the loser of a union together with the loser's users (their
+//! keys name the old root), every new or patched μ, a rerooted class with
+//! its users — and [`SharedGraph::rebuild`] re-derives exactly those. The
+//! invariant it restores: **at every rebuild exit the intern table holds
+//! exactly `resolve(rep) → rep`, one entry per representative**: the
+//! table, union-find roots and return value of re-interning every node
+//! from scratch, pass by pass, until nothing changes. A test-only oracle
+//! (`oracle`) runs that from-scratch reference on a clone beside every
+//! rebuild of the validation-query test and compares the two.
 
 use gated_ssa::node::{node_hash, CalleeId, Interning, Node, NodeId, ValueGraph};
 use gated_ssa::GatedFunction;
 use lir::intern::{HashSlots, StrTab};
 use std::collections::HashMap;
 
-/// The arena-backed interner for [`SharedGraph`] ([`Interning::Fast`]).
+/// End-of-list marker for the use lists.
+const NIL: u32 = u32::MAX;
+
+/// The structural intern table behind [`SharedGraph::add`] and
+/// [`SharedGraph::rebuild`]: a `key → id` map in which every entry is
+/// *owned* by the id it maps to, so the rebuild can drop one node's entry
+/// without searching for it.
 ///
-/// Unlike the per-function `ValueGraph`, the shared graph cannot resolve
-/// hash-table candidates against its node arena: [`SharedGraph::rebuild`]
-/// interns `resolve(id)` keys (canonical children), which differ from the
-/// possibly-stale arena entries, and pre-rebuild lookups must compare
-/// against the key *as interned* — not a re-resolved one — to keep hit/miss
-/// behavior (and therefore id assignment) byte-identical to the naive
-/// `HashMap`. So this interner keeps its own key copies, contiguously, and
-/// wins over the `HashMap` on hashing cost (FNV over ids vs SipHash) and
-/// locality rather than on storage.
-#[derive(Debug, Default)]
-struct FastIntern {
-    /// hash(key) → index into `keys`.
-    slots: HashSlots,
-    /// The interned `(key, id)` pairs in insertion order.
-    keys: Vec<(Node, NodeId)>,
+/// Keys are stored per owner rather than read back from the node arena:
+/// the table holds `resolve(id)` keys (canonical children), which differ
+/// from the possibly-stale arena entries, and lookups between rebuilds must
+/// compare against the key *as interned* — not a re-resolved one — to keep
+/// hit/miss behavior (and therefore id assignment) deterministic.
+#[derive(Clone, Debug, Default)]
+struct InternMap {
+    /// Per node id: the key it owns in the table and that key's hash.
+    owned: Vec<Option<(u64, Node)>>,
+    index: Index,
 }
 
-impl FastIntern {
-    fn get(&self, node: &Node) -> Option<NodeId> {
-        let keys = &self.keys;
-        self.slots.get(node_hash(node), |i| keys[i as usize].0 == *node).map(|i| keys[i as usize].1)
-    }
-
-    fn insert(&mut self, node: Node, id: NodeId) {
-        let h = node_hash(&node);
-        let slot = self.keys.len() as u32;
-        self.keys.push((node, id));
-        self.slots.insert(h, slot);
-    }
-
-    fn clear(&mut self) {
-        self.keys.clear();
-        self.slots.clear();
-    }
-}
-
-/// The interner behind [`SharedGraph::add`]/[`SharedGraph::rebuild`]: one
-/// of the two [`Interning`] modes. Both implement the same node → id map,
-/// so the modes build byte-identical graphs.
-#[derive(Debug)]
-enum InternMap {
-    Fast(FastIntern),
+/// The lookup structure over [`InternMap::owned`]: one of the two
+/// [`Interning`] modes. Both implement the same map, so the modes build
+/// byte-identical graphs.
+#[derive(Clone, Debug)]
+enum Index {
+    /// hash(key) → owner id, candidates compared against the owner's key.
+    Fast(HashSlots),
+    /// The boxed-key `HashMap` (differential oracle).
     Naive(HashMap<Node, NodeId>),
+}
+
+impl Default for Index {
+    fn default() -> Index {
+        Index::Fast(HashSlots::new())
+    }
 }
 
 impl InternMap {
     fn new(mode: Interning) -> InternMap {
-        match mode {
-            Interning::Fast => InternMap::Fast(FastIntern::default()),
-            Interning::Naive => InternMap::Naive(HashMap::new()),
-        }
+        let index = match mode {
+            Interning::Fast => Index::Fast(HashSlots::new()),
+            Interning::Naive => Index::Naive(HashMap::new()),
+        };
+        InternMap { owned: Vec::new(), index }
     }
 
-    fn get(&self, node: &Node) -> Option<NodeId> {
-        match self {
-            InternMap::Fast(t) => t.get(node),
-            InternMap::Naive(m) => m.get(node).copied(),
-        }
-    }
-
-    fn insert(&mut self, node: Node, id: NodeId) {
-        match self {
-            InternMap::Fast(t) => t.insert(node, id),
-            InternMap::Naive(m) => {
-                m.insert(node, id);
+    /// The owner of `key` (whose hash is `h`), if it is interned.
+    fn get(&self, h: u64, key: &Node) -> Option<NodeId> {
+        match &self.index {
+            Index::Fast(slots) => {
+                let owned = &self.owned;
+                slots.get(h, |i| matches!(&owned[i as usize], Some((_, k)) if k == key)).map(NodeId)
             }
+            Index::Naive(map) => map.get(key).copied(),
+        }
+    }
+
+    /// Intern `key` (absent from the table) as owned by `id` (which owns
+    /// no entry).
+    fn insert(&mut self, h: u64, key: Node, id: NodeId) {
+        match &mut self.index {
+            Index::Fast(slots) => slots.insert(h, id.0),
+            Index::Naive(map) => {
+                map.insert(key.clone(), id);
+            }
+        }
+        if self.owned.len() <= id.index() {
+            self.owned.resize(id.index() + 1, None);
+        }
+        self.owned[id.index()] = Some((h, key));
+    }
+
+    /// Drop the entry `id` owns, if any, returning its hash and key.
+    fn remove(&mut self, id: NodeId) -> Option<(u64, Node)> {
+        let (h, key) = self.owned.get_mut(id.index())?.take()?;
+        match &mut self.index {
+            Index::Fast(slots) => {
+                slots.remove(h, |p| p == id.0);
+            }
+            Index::Naive(map) => {
+                map.remove(&key);
+            }
+        }
+        Some((h, key))
+    }
+
+    /// Number of entries.
+    #[cfg(test)]
+    fn len(&self) -> usize {
+        match &self.index {
+            Index::Fast(slots) => slots.len(),
+            Index::Naive(map) => map.len(),
         }
     }
 
     fn clear(&mut self) {
-        match self {
-            InternMap::Fast(t) => t.clear(),
-            InternMap::Naive(m) => m.clear(),
+        self.owned.clear();
+        match &mut self.index {
+            Index::Fast(slots) => slots.clear(),
+            Index::Naive(map) => map.clear(),
         }
-    }
-}
-
-impl Default for InternMap {
-    fn default() -> InternMap {
-        InternMap::new(Interning::Fast)
     }
 }
 
 /// A merged, rewritable value graph for one validation query.
 #[derive(Debug, Default)]
+#[cfg_attr(test, derive(Clone))]
 pub struct SharedGraph {
     nodes: Vec<Node>,
     parent: Vec<u32>,
     callees: StrTab,
     intern: InternMap,
+    /// Per class root: the first and last cell of its use list in `uses`
+    /// (`NIL` when empty). A class that loses a union hands its list to
+    /// the winner, so non-roots' lists are empty.
+    use_ends: Vec<(u32, u32)>,
+    /// The use-list cells, `(user node, next cell)`: one flat arena shared
+    /// by every list, so creating a node allocates nothing per node.
+    uses: Vec<(u32, u32)>,
+    /// Nodes whose table entry, congruence or μ-collapse must be
+    /// re-derived by the next [`SharedGraph::rebuild`].
+    pending: Vec<u32>,
+    /// The batch being processed by [`SharedGraph::rebuild`] (kept for its
+    /// allocation).
+    batch: Vec<u32>,
+    /// Set by [`SharedGraph::reintern`]: the table holds member entries, so
+    /// the next rebuild re-derives every node.
+    retable: bool,
 }
 
 impl SharedGraph {
@@ -130,19 +182,24 @@ impl SharedGraph {
 
     /// Which interner mode backs this graph.
     pub fn interning(&self) -> Interning {
-        match self.intern {
-            InternMap::Fast(_) => Interning::Fast,
-            InternMap::Naive(_) => Interning::Naive,
+        match self.intern.index {
+            Index::Fast(_) => Interning::Fast,
+            Index::Naive(_) => Interning::Naive,
         }
     }
 
     /// Drop all nodes, equalities and callees, keeping the allocations
-    /// (arena, union-find, interner, string table) for the next query.
+    /// (arena, union-find, interner, use lists, string table) for the next
+    /// query.
     pub fn reset(&mut self) {
         self.nodes.clear();
         self.parent.clear();
         self.callees.clear();
         self.intern.clear();
+        self.use_ends.clear();
+        self.uses.clear();
+        self.pending.clear();
+        self.retable = false;
     }
 
     /// Number of nodes ever created (including superseded ones).
@@ -173,8 +230,8 @@ impl SharedGraph {
 
     /// Canonical representative of `id`.
     pub fn find(&self, mut id: NodeId) -> NodeId {
-        // Path-compression-free find (the structure is rebuilt each round;
-        // chains stay short).
+        // No path compression, so `find` can take `&self`. Links only ever
+        // join two roots (`link`, `reroot`).
         while self.parent[id.index()] != id.0 {
             id = NodeId(self.parent[id.index()]);
         }
@@ -191,7 +248,7 @@ impl SharedGraph {
             return false;
         }
         let (lo, hi) = if ra < rb { (ra, rb) } else { (rb, ra) };
-        self.parent[hi.index()] = lo.0;
+        self.link(hi, lo);
         true
     }
 
@@ -203,8 +260,62 @@ impl SharedGraph {
         if ra == rb {
             return false;
         }
-        self.parent[ra.index()] = rb.0;
+        self.link(ra, rb);
         true
+    }
+
+    /// Make root `loser` a child of root `winner`. The loser's table entry
+    /// and its users' keys (which name the loser) go stale, so all of them
+    /// are queued for the next rebuild; the loser's use list moves to the
+    /// winner.
+    fn link(&mut self, loser: NodeId, winner: NodeId) {
+        self.parent[loser.index()] = winner.0;
+        self.pending.push(loser.0);
+        self.queue_users(loser);
+        let (head, tail) = std::mem::replace(&mut self.use_ends[loser.index()], (NIL, NIL));
+        self.splice(winner, head, tail);
+    }
+
+    /// Queue every node on `class`'s use list for the next rebuild.
+    fn queue_users(&mut self, class: NodeId) {
+        let mut cell = self.use_ends[class.index()].0;
+        while cell != NIL {
+            let (user, next) = self.uses[cell as usize];
+            self.pending.push(user);
+            cell = next;
+        }
+    }
+
+    /// Append the cell chain `head..=tail` to `class`'s use list.
+    fn splice(&mut self, class: NodeId, head: u32, tail: u32) {
+        if head == NIL {
+            return;
+        }
+        let ends = &mut self.use_ends[class.index()];
+        if ends.1 == NIL {
+            ends.0 = head;
+        } else {
+            self.uses[ends.1 as usize].1 = head;
+        }
+        ends.1 = tail;
+    }
+
+    /// Record that `user` has a child in the class rooted at `class`.
+    fn add_use(&mut self, class: NodeId, user: NodeId) {
+        let cell = self.uses.len() as u32;
+        self.uses.push((user.0, NIL));
+        self.splice(class, cell, cell);
+    }
+
+    /// Append `node` (children already canonical) to the arena as a fresh
+    /// root, registering it on its children's use lists.
+    fn push_node(&mut self, node: Node) -> NodeId {
+        let id = NodeId(self.nodes.len() as u32);
+        self.parent.push(id.0);
+        self.use_ends.push((NIL, NIL));
+        node.for_each_child(|c| self.add_use(c, id));
+        self.nodes.push(node);
+        id
     }
 
     /// True if `a` and `b` are known equal.
@@ -241,7 +352,9 @@ impl SharedGraph {
     /// so that re-deriving a structure that already exists anywhere in some
     /// class returns that class instead of minting a fresh node — otherwise
     /// every demoted rewrite product is re-created each iteration and the
-    /// fixpoint is unreachable.
+    /// fixpoint is unreachable. The member entries break the rebuild's
+    /// one-entry-per-representative invariant, so the next rebuild
+    /// re-derives every node.
     pub fn reintern(&mut self) {
         self.intern.clear();
         for i in 0..self.nodes.len() {
@@ -250,10 +363,12 @@ impl SharedGraph {
             if n.is_mu() {
                 continue;
             }
-            if self.intern.get(&n).is_none() {
-                self.intern.insert(n, id);
+            let h = node_hash(&n);
+            if self.intern.get(h, &n).is_none() {
+                self.intern.insert(h, n, id);
             }
         }
+        self.retable = true;
     }
 
     /// Make `member` the canonical representative of its e-class.
@@ -272,6 +387,13 @@ impl SharedGraph {
         // chain terminates instead of cycling back through `member`.
         self.parent[member.index()] = member.0;
         self.parent[root.index()] = member.0;
+        // Both representatives' entries and every key naming the old root
+        // go stale; the class's use list follows the new root.
+        self.pending.extend([member.0, root.0]);
+        self.queue_users(root);
+        debug_assert_eq!(self.use_ends[member.index()], (NIL, NIL), "non-roots have no uses");
+        self.use_ends[member.index()] =
+            std::mem::replace(&mut self.use_ends[root.index()], (NIL, NIL));
     }
 
     /// Structural canonical form: φ branches sorted and de-duplicated,
@@ -303,47 +425,55 @@ impl SharedGraph {
         assert!(!node.is_mu(), "mu nodes are nominal; use new_mu");
         node.map_children(|c| self.find(c));
         Self::canon_node(&mut node);
-        if let Some(id) = self.intern.get(&node) {
+        let h = node_hash(&node);
+        if let Some(id) = self.intern.get(h, &node) {
             return self.find(id);
         }
-        let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(node.clone());
-        self.parent.push(id.0);
-        self.intern.insert(node, id);
+        let id = self.push_node(node.clone());
+        self.intern.insert(h, node, id);
         id
     }
 
     /// Allocate a fresh nominal μ-node.
     pub fn new_mu(&mut self, depth: u32, init: NodeId, next: Option<NodeId>) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(Node::Mu {
-            depth,
-            init: self.find(init),
-            next: next.map_or(id, |n| self.find(n)),
-        });
-        self.parent.push(id.0);
+        let mu = Node::Mu { depth, init: self.find(init), next: next.map_or(id, |n| self.find(n)) };
+        self.push_node(mu);
+        self.pending.push(id.0);
         id
     }
 
     /// Patch the back edge of μ-node `mu`.
     pub fn patch_mu(&mut self, mu: NodeId, next_val: NodeId) {
         let next_val = self.find(next_val);
-        let slot = self.find(mu).index();
-        match &mut self.nodes[slot] {
+        let slot = self.find(mu);
+        match &mut self.nodes[slot.index()] {
             Node::Mu { next, .. } => *next = next_val,
             n => panic!("patch_mu on non-mu node {}", n.opname()),
         }
+        self.add_use(next_val, slot);
+        self.pending.push(slot.0);
     }
 
     /// Replace the initial value of μ-node `mu` (used when specializing
     /// loop cones).
     pub fn set_mu_init(&mut self, mu: NodeId, init_val: NodeId) {
         let init_val = self.find(init_val);
-        let slot = self.find(mu).index();
-        match &mut self.nodes[slot] {
+        let slot = self.find(mu);
+        match &mut self.nodes[slot.index()] {
             Node::Mu { init, .. } => *init = init_val,
             n => panic!("set_mu_init on non-mu node {}", n.opname()),
         }
+        self.add_use(init_val, slot);
+        self.pending.push(slot.0);
+    }
+
+    /// Room for `n` more nodes without reallocating the per-node arrays.
+    fn reserve(&mut self, n: usize) {
+        self.nodes.reserve(n);
+        self.parent.reserve(n);
+        self.use_ends.reserve(n);
+        self.intern.owned.reserve(n);
     }
 
     /// Import a per-function gated graph, returning a map from its node ids
@@ -352,6 +482,7 @@ impl SharedGraph {
     /// structure matches (the *shared* graph of paper §2).
     pub fn import(&mut self, gf: &GatedFunction) -> Vec<NodeId> {
         let g: &ValueGraph = &gf.graph;
+        self.reserve(g.len());
         let mut map: Vec<NodeId> = Vec::with_capacity(g.len());
         let mut callee_map: HashMap<CalleeId, CalleeId> = HashMap::new();
         let mut mu_patches: Vec<(NodeId, NodeId)> = Vec::new(); // (our mu, their next)
@@ -393,23 +524,114 @@ impl SharedGraph {
         map
     }
 
-    /// Restore maximal sharing: canonicalize every node's children and
-    /// re-intern, merging nodes that become structurally identical, until a
-    /// fixpoint. Degenerate μ-nodes (`next == μ` or `next == init`) collapse
-    /// to their initial value — a constant stream *is* its value.
+    /// Restore maximal sharing: merge representatives whose canonical
+    /// structure became identical, and collapse degenerate μ-nodes
+    /// (`next == μ` or `next == init`) to their initial value — a constant
+    /// stream *is* its value — until a fixpoint.
+    ///
+    /// Incremental: only the pending nodes (see the module docs) are
+    /// re-derived, in batches. Each batch is sorted and processed in id
+    /// order in three steps: collapse its trivial μs, drop its nodes' table
+    /// entries, then re-intern its representatives, merging on a hit. The
+    /// unions queue the losers and their users as the next batch. At exit
+    /// the table holds exactly `resolve(rep) → rep` for every
+    /// representative — the table, roots and count a from-scratch rebuild
+    /// pass by pass over every node would produce.
     ///
     /// Returns the number of unions performed.
     pub fn rebuild(&mut self) -> usize {
+        #[cfg(test)]
+        let reference = oracle::enabled().then(|| {
+            let mut r = self.clone();
+            let merged = r.rebuild_by_passes();
+            (r, merged)
+        });
+        if std::mem::take(&mut self.retable) {
+            self.pending.clear();
+            self.pending.extend(0..self.nodes.len() as u32);
+        }
+        let mut merged = 0;
+        let mut batch = std::mem::take(&mut self.batch);
+        while !self.pending.is_empty() {
+            std::mem::swap(&mut batch, &mut self.pending);
+            batch.sort_unstable();
+            batch.dedup();
+            merged += self.rebuild_batch(&batch);
+            batch.clear();
+        }
+        self.batch = batch;
+        #[cfg(test)]
+        if let Some((r, r_merged)) = reference {
+            oracle::check(self, merged, &r, r_merged);
+        }
+        merged
+    }
+
+    /// One worklist batch of [`SharedGraph::rebuild`], ascending ids.
+    fn rebuild_batch(&mut self, batch: &[u32]) -> usize {
+        let mut merged = 0;
+        // Trivial μ collapse first: it can unlock congruences below.
+        for &i in batch {
+            let id = NodeId(i);
+            if self.find(id) != id {
+                continue;
+            }
+            if let Node::Mu { init, next, .. } = self.nodes[i as usize] {
+                let (ri, rn) = (self.find(init), self.find(next));
+                if rn == id || rn == ri {
+                    self.replace(id, ri);
+                    merged += 1;
+                }
+            }
+        }
+        // Drop every batch node's entry before any lookup: a node that
+        // stopped being a representative must not be hit by a node that
+        // re-derives its old structure.
+        for &i in batch {
+            self.intern.remove(NodeId(i));
+        }
+        // Congruence: representatives with identical canonical structure
+        // merge. Every remaining entry is owned by a representative.
+        for &i in batch {
+            let id = NodeId(i);
+            if self.find(id) != id {
+                continue;
+            }
+            let key = self.resolve_at(id);
+            let h = node_hash(&key);
+            match self.intern.get(h, &key) {
+                None => self.intern.insert(h, key, id),
+                Some(owner) => {
+                    debug_assert_eq!(self.find(owner), owner, "table owners are representatives");
+                    self.union(owner, id);
+                    merged += 1;
+                    if id < owner {
+                        // `id` won: the entry follows the representative.
+                        let entry = self.intern.remove(owner);
+                        debug_assert!(entry.is_some_and(|(_, k)| k == key));
+                        self.intern.insert(h, key, id);
+                    }
+                }
+            }
+        }
+        merged
+    }
+
+    /// The from-scratch rebuild, the exactness reference for
+    /// [`SharedGraph::rebuild`]: every pass collapses every trivial μ, then
+    /// re-interns every representative into a cleared table, until a pass
+    /// changes nothing.
+    #[cfg(test)]
+    fn rebuild_by_passes(&mut self) -> usize {
         let mut merged = 0;
         loop {
             let mut changed = false;
-            // Trivial μ collapse first: it can unlock congruences below.
             for i in 0..self.nodes.len() {
                 let id = NodeId(i as u32);
                 if self.find(id) != id {
                     continue;
                 }
-                if let Node::Mu { init, next, .. } = self.nodes[i].clone() {
+                if let Node::Mu { init, next, .. } = self.nodes[i] {
                     let (ri, rn) = (self.find(init), self.find(next));
                     if rn == id || rn == ri {
                         changed |= self.replace(id, ri);
@@ -417,7 +639,6 @@ impl SharedGraph {
                     }
                 }
             }
-            // Congruence: nodes with identical canonical structure merge.
             self.intern.clear();
             for i in 0..self.nodes.len() {
                 let id = NodeId(i as u32);
@@ -425,7 +646,8 @@ impl SharedGraph {
                     continue;
                 }
                 let key = self.resolve(id);
-                match self.intern.get(&key) {
+                let h = node_hash(&key);
+                match self.intern.get(h, &key) {
                     Some(prev) => {
                         let prev = self.find(prev);
                         if prev != id {
@@ -434,9 +656,7 @@ impl SharedGraph {
                             changed = true;
                         }
                     }
-                    None => {
-                        self.intern.insert(key, id);
-                    }
+                    None => self.intern.insert(h, key, id),
                 }
             }
             if !changed {
@@ -454,7 +674,7 @@ impl SharedGraph {
                 continue;
             }
             live[n.index()] = true;
-            self.nodes[n.index()].clone().for_each_child(|c| {
+            self.nodes[n.index()].for_each_child(|c| {
                 let c = self.find(c);
                 if !live[c.index()] {
                     stack.push(c);
@@ -495,12 +715,12 @@ impl SharedGraph {
             return;
         }
         let id = self.find(id);
-        let n = self.node(id).clone();
+        let n = self.node(id);
         if on_path[id.index()] {
             let _ = write!(out, "mu{}", id.0);
             return;
         }
-        match &n {
+        match n {
             Node::Param(i) => {
                 let _ = write!(out, "p{i}");
             }
@@ -529,12 +749,86 @@ impl SharedGraph {
     }
 }
 
+/// The exactness oracle for [`SharedGraph::rebuild`] (test builds only).
+/// While a [`oracle::Session`] is alive on a thread, every rebuild on that
+/// thread also runs the pass-based reference on a clone of the graph and
+/// panics unless both agree on every node's root and on the return value,
+/// and both tables hold exactly `resolve(rep) → rep`.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::SharedGraph;
+    use gated_ssa::node::{node_hash, NodeId};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Rebuilds checked by the current session, `None` when off.
+        static CHECKED: Cell<Option<usize>> = const { Cell::new(None) };
+    }
+
+    /// Turns the oracle on for this thread until dropped.
+    pub(crate) struct Session(());
+
+    impl Session {
+        pub(crate) fn start() -> Session {
+            CHECKED.set(Some(0));
+            Session(())
+        }
+
+        /// Rebuild calls checked so far.
+        pub(crate) fn checked(&self) -> usize {
+            CHECKED.get().unwrap_or(0)
+        }
+    }
+
+    impl Drop for Session {
+        fn drop(&mut self) {
+            CHECKED.set(None);
+        }
+    }
+
+    pub(super) fn enabled() -> bool {
+        CHECKED.get().is_some()
+    }
+
+    pub(super) fn check(g: &SharedGraph, merged: usize, reference: &SharedGraph, expected: usize) {
+        assert_eq!(merged, expected, "rebuild return value differs from the reference");
+        for i in 0..g.len() {
+            let id = NodeId(i as u32);
+            assert_eq!(g.find(id), reference.find(id), "root of node {i} differs");
+        }
+        assert_exact_table(g);
+        assert_exact_table(reference);
+        CHECKED.set(CHECKED.get().map(|n| n + 1));
+    }
+
+    /// The table maps every representative's resolved key to it, and holds
+    /// nothing else.
+    fn assert_exact_table(g: &SharedGraph) {
+        let mut reps = 0;
+        for i in 0..g.len() {
+            let id = NodeId(i as u32);
+            if g.find(id) != id {
+                continue;
+            }
+            reps += 1;
+            let key = g.resolve(id);
+            assert_eq!(g.intern.get(node_hash(&key), &key), Some(id), "entry of rep {i}");
+        }
+        assert_eq!(g.intern.len(), reps, "table entries vs representatives");
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use lir::inst::BinOp;
     use lir::types::Ty;
     use lir::value::Constant;
+
+    /// Sizing of the oracle test's inputs: the 1/16 suite plus this many
+    /// campaign modules per fuzz profile (about 5 s in a debug build).
+    const SUITE_SCALE: usize = 16;
+    const CAMPAIGN_MODULES: usize = 2;
 
     fn leaf(g: &mut SharedGraph, i: u32) -> NodeId {
         g.add(Node::Param(i))
@@ -643,6 +937,180 @@ mod tests {
         g.union(a, sum); // class {a, a+b}, rep = a
         assert!(matches!(g.resolve(sum), Node::Param(0)));
         assert!(matches!(g.resolve_at(sum), Node::Bin(BinOp::Add, ..)));
+    }
+
+    /// Run `f` on a fresh graph with the exactness oracle on, returning how
+    /// many rebuilds it checked.
+    fn under_oracle(f: impl FnOnce(&mut SharedGraph)) -> usize {
+        let session = oracle::Session::start();
+        let mut g = SharedGraph::new();
+        f(&mut g);
+        session.checked()
+    }
+
+    #[test]
+    fn replaced_structure_rederived_elsewhere_does_not_merge() {
+        under_oracle(|g| {
+            let a = leaf(g, 0);
+            let b = leaf(g, 1);
+            let zero = g.add(Node::Const(Constant::int(Ty::I64, 0)));
+            let sum = g.add(Node::Bin(BinOp::Add, Ty::I64, a, zero));
+            let other = g.add(Node::Bin(BinOp::Add, Ty::I64, b, zero));
+            g.rebuild();
+            // A rule rewrites a+0 to a; the table still holds a+0's entry.
+            assert!(g.replace(sum, a));
+            // b+0's class now re-derives a+0's old key: b becomes a.
+            g.replace(b, a);
+            g.rebuild();
+            assert!(g.same(sum, a));
+            assert_eq!(g.find(other), other, "b+0 became a+0, but a+0 is no representative");
+            assert!(!g.same(other, a), "must not merge through the replaced node's stale entry");
+        });
+    }
+
+    #[test]
+    fn entry_follows_a_smaller_congruent_representative() {
+        under_oracle(|g| {
+            let a = leaf(g, 0);
+            let b = leaf(g, 1);
+            let c = leaf(g, 2);
+            let ac = g.add(Node::Bin(BinOp::Add, Ty::I64, a, c));
+            let ab = g.add(Node::Bin(BinOp::Add, Ty::I64, a, b));
+            g.union(b, c);
+            // a+c re-derives a+b's key and wins by the smaller id: the
+            // table entry must move to it, not stay with the demoted a+b.
+            assert_eq!(g.rebuild(), 1);
+            assert_eq!(g.find(ab), ac);
+            let len = g.len();
+            assert_eq!(g.add(Node::Bin(BinOp::Add, Ty::I64, b, a)), ac);
+            assert_eq!(g.len(), len);
+        });
+    }
+
+    #[test]
+    fn reset_graph_rebuilds_like_a_fresh_one() {
+        let build = |g: &mut SharedGraph| {
+            let a = leaf(g, 0);
+            let b = leaf(g, 1);
+            let ab = g.add(Node::Bin(BinOp::Add, Ty::I64, a, b));
+            let ba = g.add(Node::Bin(BinOp::Sub, Ty::I64, b, a));
+            let mu = g.new_mu(1, ab, None);
+            g.union(a, b);
+            let merged = g.rebuild();
+            (merged, g.find(ba), g.find(mu), g.len())
+        };
+        under_oracle(|g| {
+            let first = build(g);
+            g.reintern();
+            g.reset();
+            assert!(g.is_empty());
+            assert_eq!(g.rebuild(), 0, "nothing pending after a reset");
+            assert_eq!(build(g), first);
+        });
+    }
+
+    #[test]
+    fn rebuild_with_nothing_pending_changes_nothing() {
+        let mut g = SharedGraph::new();
+        let a = leaf(&mut g, 0);
+        let b = leaf(&mut g, 1);
+        let ab = g.add(Node::Bin(BinOp::Add, Ty::I64, a, b));
+        let mu = g.new_mu(1, a, None);
+        let m = g.add(Node::Bin(BinOp::Mul, Ty::I64, ab, mu));
+        g.rebuild();
+        let before: Vec<NodeId> = (0..g.len()).map(|i| g.find(NodeId(i as u32))).collect();
+        let len = g.len();
+        assert_eq!(g.rebuild(), 0);
+        let after: Vec<NodeId> = (0..g.len()).map(|i| g.find(NodeId(i as u32))).collect();
+        assert_eq!(before, after);
+        assert_eq!(g.add(Node::Bin(BinOp::Add, Ty::I64, b, a)), ab);
+        assert_eq!(g.add(Node::Bin(BinOp::Mul, Ty::I64, ab, a)), m, "mu collapsed into a");
+        assert_eq!(g.add(Node::Param(1)), b);
+        assert_eq!(g.len(), len, "every lookup hit");
+    }
+
+    #[test]
+    fn mu_without_next_collapses_under_oracle() {
+        let checked = under_oracle(|g| {
+            let x = leaf(g, 0);
+            let mu = g.new_mu(1, x, None);
+            assert_eq!(g.rebuild(), 1);
+            assert_eq!(g.find(mu), x);
+        });
+        assert_eq!(checked, 1);
+    }
+
+    #[test]
+    fn reroot_and_reintern_match_reference() {
+        let checked = under_oracle(|g| {
+            let a = leaf(g, 0);
+            let b = leaf(g, 1);
+            let c = leaf(g, 2);
+            let ab = g.add(Node::Bin(BinOp::Add, Ty::I64, a, b));
+            let cb = g.add(Node::Bin(BinOp::Add, Ty::I64, c, b));
+            let sq = g.add(Node::Bin(BinOp::Mul, Ty::I64, ab, cb));
+            let mu = g.new_mu(1, a, Some(ab));
+            g.rebuild();
+            // Merge a and c, then make c the representative: a+b and c+b
+            // become congruent under the new root.
+            g.union(a, c);
+            g.reroot(c);
+            g.rebuild();
+            assert!(g.same(ab, cb));
+            assert_eq!(g.find(a), c);
+            // Reintern (member entries), reroot again, then rebuild from
+            // every node.
+            g.reintern();
+            g.reroot(a);
+            g.rebuild();
+            g.union(sq, mu);
+            g.reintern();
+            g.rebuild();
+            assert!(g.same(sq, mu));
+        });
+        assert_eq!(checked, 4);
+    }
+
+    /// The exactness oracle over real queries: every rebuild of the
+    /// destructive and the saturate-fallback engines, under both interner
+    /// modes, on suite and fuzz-campaign modules through the paper's
+    /// pipeline.
+    #[test]
+    fn incremental_rebuild_matches_reference_on_validation_queries() {
+        use crate::{Normalizer, Validator};
+        use llvm_md_workload::DEFAULT_CAMPAIGN_SEED;
+        use llvm_md_workload::{campaign_module, fuzz_profiles, suite_batch};
+        let mut modules = suite_batch(SUITE_SCALE);
+        for p in fuzz_profiles() {
+            modules.extend(
+                (0..CAMPAIGN_MODULES).map(|i| campaign_module(&p, DEFAULT_CAMPAIGN_SEED, i)),
+            );
+        }
+        let pm = lir_opt::paper_pipeline();
+        let session = oracle::Session::start();
+        let (mut queries, mut saturated) = (0, 0);
+        for m in &modules {
+            let mut opt = m.clone();
+            pm.run_module(&mut opt);
+            for (f, t) in m.functions.iter().zip(&opt.functions) {
+                for normalizer in [Normalizer::Destructive, Normalizer::SaturateFallback] {
+                    let fast = Validator { normalizer, ..Validator::new() }.validate(f, t);
+                    let naive =
+                        Validator { normalizer, interning: Interning::Naive, ..Validator::new() }
+                            .validate(f, t);
+                    assert_eq!(fast.validated, naive.validated);
+                    assert_eq!(fast.stats.nodes_final, naive.stats.nodes_final);
+                    saturated += usize::from(fast.stats.saturation.is_some());
+                    queries += 2;
+                }
+            }
+        }
+        eprintln!(
+            "oracle: {} rebuilds, {queries} queries, {saturated} saturated",
+            session.checked()
+        );
+        assert!(session.checked() > queries, "every query rebuilds at least once");
+        assert!(saturated > 0, "the saturation engine's reroot/reintern path ran");
     }
 
     #[test]

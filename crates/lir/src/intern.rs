@@ -176,6 +176,46 @@ impl HashSlots {
         self.len += 1;
     }
 
+    /// Remove the entry stored under `hash` whose payload `eq` accepts,
+    /// returning whether one was found. Backward-shift deletion: later
+    /// members of the probe run move up into the hole, so the table needs
+    /// no tombstones and lookups stay as short as after a fresh insert.
+    pub fn remove(&mut self, hash: u64, mut eq: impl FnMut(u32) -> bool) -> bool {
+        if self.slots.is_empty() {
+            return false;
+        }
+        let mask = self.slots.len() - 1;
+        let mut hole = hash as usize & mask;
+        loop {
+            let (h, p) = self.slots[hole];
+            if p == EMPTY {
+                return false;
+            }
+            if h == hash && eq(p) {
+                break;
+            }
+            hole = (hole + 1) & mask;
+        }
+        let mut i = hole;
+        loop {
+            i = (i + 1) & mask;
+            let (h, p) = self.slots[i];
+            if p == EMPTY {
+                break;
+            }
+            // The entry at `i` may fill the hole only if the hole lies on
+            // its probe path, i.e. between its home slot and `i`.
+            let home = h as usize & mask;
+            if (i.wrapping_sub(home) & mask) >= (i.wrapping_sub(hole) & mask) {
+                self.slots[hole] = (h, p);
+                hole = i;
+            }
+        }
+        self.slots[hole] = (0, EMPTY);
+        self.len -= 1;
+        true
+    }
+
     /// Remove every entry, keeping the allocation for reuse.
     pub fn clear(&mut self) {
         self.slots.fill((0, EMPTY));
@@ -350,6 +390,29 @@ mod tests {
         assert_eq!(t.get(31, |_| true), None);
         t.insert(7, 9);
         assert_eq!(t.get(7, |p| p == 9), Some(9));
+    }
+
+    #[test]
+    fn slots_remove_keeps_every_other_entry_reachable() {
+        // Few distinct hashes over a small table: long, wrapping probe runs,
+        // so backward shifts cross the end of the slot array.
+        let hash = |i: u32| u64::from(i % 5) * 7 + 13;
+        let mut t = HashSlots::new();
+        for i in 0..12 {
+            t.insert(hash(i), i);
+        }
+        let mut present: Vec<u32> = (0..12).collect();
+        for gone in [3, 0, 11, 7, 5, 1] {
+            assert!(t.remove(hash(gone), |p| p == gone));
+            assert!(!t.remove(hash(gone), |p| p == gone), "already removed");
+            present.retain(|&p| p != gone);
+            assert_eq!(t.len(), present.len());
+            for &p in &present {
+                assert_eq!(t.get(hash(p), |q| q == p), Some(p), "lost {p} after removing {gone}");
+            }
+            assert_eq!(t.get(hash(gone), |q| q == gone), None);
+        }
+        assert!(!HashSlots::new().remove(1, |_| true), "empty table");
     }
 
     #[test]
